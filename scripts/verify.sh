@@ -4,6 +4,7 @@
 #
 # Opt-outs for a quick inner-loop run (CI always runs everything):
 #   CLOVER_SKIP_SANITIZE=1  skip the second (ASan+UBSan Debug) build
+#   CLOVER_SKIP_TSAN=1      skip the ThreadSanitizer concurrency sweep
 #   CLOVER_SKIP_CAMPAIGN=1  skip the campaign smoke run
 set -euo pipefail
 
@@ -107,4 +108,13 @@ if [[ "${CLOVER_SKIP_SANITIZE:-}" != 1 ]]; then
     -DCLOVER_SANITIZE=ON
   cmake --build "$BUILD_DIR-asan" -j "$(nproc)"
   ctest --test-dir "$BUILD_DIR-asan" -L unit --output-on-failure -j "$(nproc)"
+fi
+
+# ThreadSanitizer sweep of the concurrency suites (mirrors the CI tsan job).
+if [[ "${CLOVER_SKIP_TSAN:-}" != 1 ]]; then
+  cmake -B "$BUILD_DIR-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCLOVER_TSAN=ON
+  cmake --build "$BUILD_DIR-tsan" -j "$(nproc)"
+  TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "$BUILD_DIR-tsan" \
+    -L concurrency --output-on-failure -j "$(nproc)"
 fi

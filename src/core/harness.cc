@@ -153,9 +153,39 @@ Oracle& ExperimentHarness::OracleFor(models::Application app, int num_gpus,
   return it->second;
 }
 
-RunReport ExperimentHarness::Run(const ExperimentConfig& config) {
-  CLOVER_CHECK(config.trace != nullptr);
+std::vector<double> ControlBoundaries(double interval_s, double duration_s) {
+  CLOVER_CHECK(interval_s > 0.0);
+  std::vector<double> boundaries;
+  for (double t = interval_s; t <= duration_s + 1e-9; t += interval_s)
+    boundaries.push_back(t);
+  return boundaries;
+}
+
+RunReport ExperimentHarness::Run(const ExperimentConfig& config,
+                                 const BoundaryObserver& observer) {
   const auto wall_start = std::chrono::steady_clock::now();
+  const BaselineCalibration& calibration =
+      Calibrate(config.app, config.sizing_gpus, config.utilization_target,
+                config.arrival_rate_qps, config.seed);
+  Oracle* oracle = config.scheme == Scheme::kOracle
+                       ? &OracleFor(config.app, config.num_gpus,
+                                    calibration.arrival_rate_qps, config.seed)
+                       : nullptr;
+  RunReport report =
+      RunCalibrated(*zoo_, config, calibration, oracle, observer);
+  report.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wall_start)
+          .count();
+  return report;
+}
+
+RunReport RunCalibrated(const models::ModelZoo& zoo,
+                        const ExperimentConfig& config,
+                        const BaselineCalibration& calibration, Oracle* oracle,
+                        const BoundaryObserver& observer) {
+  CLOVER_CHECK(config.trace != nullptr);
+  CLOVER_CHECK((oracle != nullptr) == (config.scheme == Scheme::kOracle));
   // Carbon-feed dropouts are repaired up front (last observation carried
   // forward, sim/fault_injector.h): the controller, accountant and oracle
   // all see the held reading, the way a production deployment would.
@@ -166,9 +196,6 @@ RunReport ExperimentHarness::Run(const ExperimentConfig& config) {
                                              config.faults.trace_dropouts);
     trace = &*repaired_trace;
   }
-  const BaselineCalibration& calibration =
-      Calibrate(config.app, config.sizing_gpus, config.utilization_target,
-                config.arrival_rate_qps, config.seed);
 
   opt::ObjectiveParams params;
   params.lambda = config.lambda;
@@ -181,14 +208,11 @@ RunReport ExperimentHarness::Run(const ExperimentConfig& config) {
 
   // Initial deployment per scheme (all schemes start at the paper's default
   // configuration except CO2OPT, which is statically defined).
-  Oracle* oracle = nullptr;
   serving::Deployment initial = serving::MakeBase(config.app, config.num_gpus);
   if (config.scheme == Scheme::kCo2Opt) {
-    initial = serving::MakeCo2Opt(config.app, config.num_gpus, *zoo_);
+    initial = serving::MakeCo2Opt(config.app, config.num_gpus, zoo);
   } else if (config.scheme == Scheme::kOracle) {
-    oracle = &OracleFor(config.app, config.num_gpus,
-                        calibration.arrival_rate_qps, config.seed);
-    graph::GraphMapper mapper(zoo_, config.num_gpus);
+    graph::GraphMapper mapper(&zoo, config.num_gpus);
     const OracleEntry& entry = oracle->Select(params, trace->At(0.0));
     const auto deployment = mapper.ToDeployment(entry.graph);
     CLOVER_CHECK(deployment.has_value());
@@ -203,18 +227,18 @@ RunReport ExperimentHarness::Run(const ExperimentConfig& config) {
   sim_options.faults = config.faults;
   if (config.service_jitter_sigma.has_value())
     sim_options.service_jitter_sigma = *config.service_jitter_sigma;
-  sim::ClusterSim sim(initial, *zoo_, trace, sim_options);
+  sim::ClusterSim sim(initial, zoo, trace, sim_options);
 
   std::unique_ptr<Controller> controller;
   if (config.scheme == Scheme::kClover || config.scheme == Scheme::kBlover) {
     Controller::Options controller_options = config.controller;
     controller_options.scheme = config.scheme;
     controller_options.seed = config.seed;
-    controller = std::make_unique<Controller>(&sim, zoo_, trace, params,
+    controller = std::make_unique<Controller>(&sim, &zoo, trace, params,
                                               controller_options);
   }
   carbon::CarbonMonitor oracle_monitor(trace, config.controller.ci_trigger);
-  graph::GraphMapper oracle_mapper(zoo_, config.num_gpus);
+  graph::GraphMapper oracle_mapper(&zoo, config.num_gpus);
   const mig::RepartitionCostModel kFreeReconfig{0.0, 0.0, 0.0};
   if (config.scheme == Scheme::kOracle)
     oracle_monitor.AcknowledgeOptimization(0.0);
@@ -223,8 +247,9 @@ RunReport ExperimentHarness::Run(const ExperimentConfig& config) {
   // interval (its evaluations advance simulated time), so each step only
   // advances when the target is ahead of the clock.
   const double duration_s = HoursToSeconds(config.duration_hours);
-  for (double t = config.control_interval_s; t <= duration_s + 1e-9;
-       t += config.control_interval_s) {
+  bool stopped = false;
+  for (const double t : ControlBoundaries(config.control_interval_s,
+                                          duration_s)) {
     const double target = std::min(t, duration_s);
     if (target > sim.now()) sim.AdvanceTo(target);
     if (controller != nullptr) {
@@ -238,8 +263,12 @@ RunReport ExperimentHarness::Run(const ExperimentConfig& config) {
       sim.ApplyDeployment(*deployment, kFreeReconfig);
       oracle_monitor.AcknowledgeOptimization(sim.now());
     }
+    if (observer && !observer(target, sim)) {
+      stopped = true;
+      break;
+    }
   }
-  if (duration_s > sim.now()) sim.AdvanceTo(duration_s);
+  if (!stopped && duration_s > sim.now()) sim.AdvanceTo(duration_s);
 
   // Assemble the report.
   RunReport report;
@@ -254,10 +283,6 @@ RunReport ExperimentHarness::Run(const ExperimentConfig& config) {
     report.optimization_seconds = controller->total_optimization_seconds();
     report.cache_hits = controller->cache_hits();
   }
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   return report;
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -128,6 +129,19 @@ void FillRunReportFromSim(const sim::MeanFieldSim& sim,
 // cross-thread-count check and bench_runner's fault_recovery twin.
 bool RunReportsBitIdentical(const RunReport& a, const RunReport& b);
 
+// The control boundaries of a run: the loop's accumulating t = I, 2I, ...
+// for as long as t <= duration_s + 1e-9 (the step at t runs at
+// min(t, duration_s)). Shared by the harness loop and the live control
+// plane so both fire at the same floating-point instants.
+std::vector<double> ControlBoundaries(double interval_s, double duration_s);
+
+// Per-boundary observer of the control loop: called after the scheme's
+// step at every boundary, with the boundary's (clamped) virtual time and
+// the simulator in its post-step state. Returning false stops the loop at
+// that boundary; the report then covers the run up to it.
+using BoundaryObserver =
+    std::function<bool(double boundary_s, const sim::ClusterSim& sim)>;
+
 // Baseline calibration shared by all schemes of a setting.
 struct BaselineCalibration {
   double arrival_rate_qps = 0.0;
@@ -147,8 +161,10 @@ class ExperimentHarness {
                                        std::optional<double> rate_override,
                                        std::uint64_t seed);
 
-  // Runs one experiment end to end.
-  RunReport Run(const ExperimentConfig& config);
+  // Runs one experiment end to end: calibration (cached), then
+  // RunCalibrated.
+  RunReport Run(const ExperimentConfig& config,
+                const BoundaryObserver& observer = {});
 
   // Builds (and caches) the profiled oracle for a setting.
   Oracle& OracleFor(models::Application app, int num_gpus,
@@ -160,5 +176,15 @@ class ExperimentHarness {
       calibration_cache_;  // (app, gpus, rate_key, seed)
   std::map<std::tuple<int, int, int, std::uint64_t>, Oracle> oracle_cache_;
 };
+
+// The control loop of one experiment with its calibration already
+// resolved: trace dropout repair, initial deployment, the simulator, the
+// scheme's controller stepped at every ControlBoundaries instant, and the
+// report (wall_seconds left 0). Touches no harness cache, so it may run on
+// any thread; `oracle` is required for Scheme::kOracle only.
+RunReport RunCalibrated(const models::ModelZoo& zoo,
+                        const ExperimentConfig& config,
+                        const BaselineCalibration& calibration, Oracle* oracle,
+                        const BoundaryObserver& observer);
 
 }  // namespace clover::core

@@ -1,34 +1,13 @@
 #include "core/live_control.h"
 
-#include <algorithm>
-#include <cmath>
+#include <chrono>
 
 #include "common/check.h"
 #include "common/units.h"
-#include "perf/calibration.h"
-#include "sim/fault_injector.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace clover::core {
-namespace {
-
-bool SpecsEqual(const serving::InstanceSpec& a,
-                const serving::InstanceSpec& b) {
-  return a.gpu_index == b.gpu_index && a.slice_index == b.slice_index &&
-         a.slice == b.slice && a.variant_ordinal == b.variant_ordinal;
-}
-
-bool DeploymentsEqual(const serving::Deployment& a,
-                      const serving::Deployment& b) {
-  if (a.app != b.app) return false;
-  const auto& ia = a.Instances();
-  const auto& ib = b.Instances();
-  if (ia.size() != ib.size()) return false;
-  for (std::size_t i = 0; i < ia.size(); ++i)
-    if (!SpecsEqual(ia[i], ib[i])) return false;
-  return true;
-}
-
-}  // namespace
 
 LiveControlPlane::LiveControlPlane(ExperimentHarness* harness,
                                    const models::ModelZoo* zoo,
@@ -40,111 +19,120 @@ LiveControlPlane::LiveControlPlane(ExperimentHarness* harness,
                        config.scheme == Scheme::kClover ||
                        config.scheme == Scheme::kBlover,
                    "live control plane serves BASE/CLOVER/BLOVER only");
-
-  // Setup mirrors ExperimentHarness::Run statement for statement; any
-  // divergence here shows up as a RunReportsBitIdentical failure in the
-  // differential test, which is the point.
-  trace_ = config.trace;
-  if (!config.faults.trace_dropouts.empty()) {
-    repaired_trace_ = sim::ApplyTraceDropouts(*config.trace,
-                                              config.faults.trace_dropouts);
-    trace_ = &*repaired_trace_;
-  }
   calibration_ =
       harness->Calibrate(config.app, config.sizing_gpus,
                          config.utilization_target, config.arrival_rate_qps,
                          config.seed);
-
-  params_.lambda = config.lambda;
-  params_.a_base = calibration_.a_base;
-  params_.c_base_g = CarbonGrams(calibration_.energy_per_request_j,
-                                 config.ci_base, perf::kPue);
-  params_.l_tail_ms = calibration_.l_tail_ms;
-  params_.pue = perf::kPue;
-  params_.max_accuracy_loss_pct = config.accuracy_limit_pct;
-
   initial_ = serving::MakeBase(config.app, config.num_gpus);
   last_deployment_ = initial_;
-
-  sim::SimOptions sim_options;
-  sim_options.arrival_rate_qps = calibration_.arrival_rate_qps;
-  sim_options.window_seconds = config.control_interval_s;
-  sim_options.seed = config.seed;
-  sim_options.burst = config.burst;
-  sim_options.faults = config.faults;
-  if (config.service_jitter_sigma.has_value())
-    sim_options.service_jitter_sigma = *config.service_jitter_sigma;
-  twin_ = std::make_unique<sim::ClusterSim>(initial_, *zoo, trace_,
-                                            sim_options);
-
-  if (config.scheme == Scheme::kClover || config.scheme == Scheme::kBlover) {
-    Controller::Options controller_options = config.controller;
-    controller_options.scheme = config.scheme;
-    controller_options.seed = config.seed;
-    controller_ = std::make_unique<Controller>(twin_.get(), zoo, trace_,
-                                               params_, controller_options);
-  }
-
   duration_s_ = HoursToSeconds(config.duration_hours);
-  next_boundary_s_ = config.control_interval_s;
+  boundaries_ = ControlBoundaries(config.control_interval_s, duration_s_);
+  decisions_.resize(boundaries_.size());
 }
 
-LiveControlPlane::~LiveControlPlane() = default;
+LiveControlPlane::~LiveControlPlane() {
+  stop_.store(true, std::memory_order_relaxed);
+  if (twin_.joinable()) twin_.join();
+}
+
+void LiveControlPlane::StartTwin() {
+  started_ = true;
+  twin_ = std::thread([this] { RunTwin(); });
+}
+
+void LiveControlPlane::RunTwin() {
+  CLOVER_TRACE_SCOPE("core.live.twin");
+  try {
+    report_ = RunCalibrated(
+        *zoo_, config_, calibration_, nullptr,
+        [this](double boundary_s, const sim::ClusterSim& sim) {
+          return Publish(boundary_s, sim);
+        });
+  } catch (...) {
+    // Forwarded to the serving side: rethrown by the boundary waiting for
+    // a decision the twin will never publish, or by Finish.
+    std::lock_guard<std::mutex> lock(mu_);
+    error_ = std::current_exception();
+  }
+  cv_.notify_all();
+}
+
+bool LiveControlPlane::Publish(double boundary_s, const sim::ClusterSim& sim) {
+  const std::size_t index = published_.load(std::memory_order_relaxed);
+  CLOVER_CHECK(index < decisions_.size());
+  Decision& decision = decisions_[index];
+  decision.boundary_s = boundary_s;
+  if (sim.deployment() != last_deployment_) {
+    last_deployment_ = sim.deployment();
+    decision.deployment = last_deployment_;
+  }
+  {
+    // Publishing under the lock pairs with the waiter's predicate check,
+    // so a wakeup between its check and its sleep cannot be lost.
+    std::lock_guard<std::mutex> lock(mu_);
+    published_.store(index + 1, std::memory_order_release);
+  }
+  cv_.notify_all();
+  return !stop_.load(std::memory_order_relaxed);
+}
+
+void LiveControlPlane::WaitForTwin() {
+  CLOVER_TRACE_SCOPE("core.live.twin_wait");
+  const auto start = std::chrono::steady_clock::now();
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] {
+      return published_.load(std::memory_order_acquire) > fired_ || error_;
+    });
+    if (published_.load(std::memory_order_acquire) <= fired_)
+      std::rethrow_exception(error_);
+  }
+  const double wait_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  CLOVER_OBS_COUNT("core.live.twin_waits", 1);
+  CLOVER_OBS_OBSERVE("core.live.twin_wait_ms", wait_ms);
+}
 
 void LiveControlPlane::FireBoundary(serving::VirtualExecutor* executor) {
-  const double target = std::min(next_boundary_s_, duration_s_);
-  if (target > twin_->now()) twin_->AdvanceTo(target);
-  if (controller_ != nullptr) {
-    controller_->Step();
-    if (!DeploymentsEqual(twin_->deployment(), last_deployment_)) {
-      last_deployment_ = twin_->deployment();
-      DeploymentCommit commit;
-      commit.boundary_s = target;
-      commit.deployment = last_deployment_;
-      commit.ready_s = executor != nullptr
-                           ? executor->ApplyDeployment(last_deployment_,
-                                                       *zoo_, target)
-                           : target;
-      commits_.push_back(std::move(commit));
-    }
-  }
-  next_boundary_s_ += config_.control_interval_s;
+  // Blocks only when the twin is behind.
+  if (published_.load(std::memory_order_acquire) <= fired_) WaitForTwin();
+  const Decision& decision = decisions_[fired_++];
+  if (!decision.deployment.has_value()) return;
+  DeploymentCommit commit;
+  commit.boundary_s = decision.boundary_s;
+  commit.deployment = *decision.deployment;
+  commit.ready_s = executor != nullptr
+                       ? executor->ApplyDeployment(commit.deployment, *zoo_,
+                                                   decision.boundary_s)
+                       : decision.boundary_s;
+  commits_.push_back(std::move(commit));
 }
 
 void LiveControlPlane::OnVirtualAdvance(double virtual_ts_s,
                                         serving::VirtualExecutor* executor) {
-  while (!finished_ && next_boundary_s_ <= duration_s_ + 1e-9 &&
-         virtual_ts_s > next_boundary_s_) {
+  if (!started_) StartTwin();
+  while (fired_ < boundaries_.size() && virtual_ts_s > boundaries_[fired_])
     FireBoundary(executor);
-  }
 }
 
 void LiveControlPlane::Finish(serving::VirtualExecutor* executor) {
   if (finished_) return;
-  while (next_boundary_s_ <= duration_s_ + 1e-9) FireBoundary(executor);
-  if (duration_s_ > twin_->now()) twin_->AdvanceTo(duration_s_);
+  if (!started_) StartTwin();
+  while (fired_ < boundaries_.size()) FireBoundary(executor);
+  twin_.join();
+  if (error_) std::rethrow_exception(error_);
   finished_ = true;
 }
 
-RunReport LiveControlPlane::TwinReport() const {
+const RunReport& LiveControlPlane::TwinReport() const {
   CLOVER_CHECK_MSG(finished_, "TwinReport before Finish()");
-  RunReport report;
-  report.app = config_.app;
-  report.scheme = config_.scheme;
-  report.arrival_rate_qps = calibration_.arrival_rate_qps;
-  report.params = params_;
-  FillRunReportFromSim(*twin_, params_, calibration_.energy_per_request_j,
-                       &report);
-  if (controller_ != nullptr) {
-    report.optimizations = controller_->history();
-    report.optimization_seconds = controller_->total_optimization_seconds();
-    report.cache_hits = controller_->cache_hits();
-  }
-  return report;
+  return report_;
 }
 
 const std::vector<OptimizationRun>& LiveControlPlane::history() const {
-  return controller_ != nullptr ? controller_->history() : empty_history_;
+  CLOVER_CHECK_MSG(finished_, "history before Finish()");
+  return report_.optimizations;
 }
 
 }  // namespace clover::core

@@ -1,30 +1,29 @@
 // Digital-twin control plane for the live serving path.
 //
-// The differential requirement this PR is built around: the live server's
-// control decisions must be *bit-identical* to ExperimentHarness::Run's
-// on the same configuration. Rather than re-implementing the controller
-// against live telemetry and hoping the two converge, the live control
-// plane embeds the simulated system wholesale — a ClusterSim ("twin")
-// plus the same core::Controller — and advances it with exactly the
-// harness's control loop, boundary by boundary:
+// The differential requirement this class is built around: the live
+// server's control decisions must be *bit-identical* to
+// ExperimentHarness::Run's on the same configuration. Rather than
+// re-implementing the controller against live telemetry and hoping the two
+// converge, the live control plane runs the harness's own control loop
+// (RunCalibrated, core/harness.h) over an embedded simulated system — a
+// ClusterSim ("twin") plus the same core::Controller — and hands its
+// decisions to the live executor at the same virtual boundaries.
 //
-//   harness:  for (t = I; t <= D + 1e-9; t += I) {
-//               target = min(t, D);
-//               if (target > sim.now()) sim.AdvanceTo(target);
-//               controller.Step();
-//             }
-//
-// Here the same iteration runs incrementally, driven by the virtual
-// timestamps of live traffic (serving/live_server.h): when the request
-// stream crosses boundary t, the twin advances and the controller steps.
-// The floating-point accumulation of t, the min() clamp, and the
-// advance-only-forward guard are replicated verbatim — the twin consumes
-// its own Poisson arrival stream (the same (rate, seed) the replay
-// schedule was drawn from), so its state at every boundary matches the
-// harness run event for event, and the controller, being deterministic
-// given sim state, makes the same decisions. TwinReport() then satisfies
-// RunReportsBitIdentical against the harness, and the commit log gives
-// the live executor the same deployments at the same virtual times.
+// The twin consumes its own Poisson arrival stream (the same (rate, seed)
+// the replay schedule was drawn from), so its decisions depend on virtual
+// time only, never on live traffic. That is what lets it run *ahead* of
+// the traffic on a thread of its own: started by the first
+// OnVirtualAdvance, it runs the loop to the end of the run and publishes
+// each boundary's decision — the new deployment, or "unchanged" — into a
+// pre-sized slot. When the request stream crosses boundary t, the serving
+// side only takes the published decision for t and, if it changed,
+// applies it to the VirtualExecutor at t. A boundary therefore costs a
+// handoff instead of a twin catch-up; it waits only when the twin is
+// behind (counted as core.live.twin_waits, docs/OBSERVABILITY.md).
+// TwinReport() is the RunReport that loop returns, so it satisfies
+// RunReportsBitIdentical against the harness by construction, and the
+// commit log gives the live executor the same deployments at the same
+// virtual times.
 //
 // Fidelity boundary, stated honestly: *decisions* are bit-identical by
 // construction; *live latencies* are close but not identical to the
@@ -35,14 +34,34 @@
 // gap with an explicit tolerance (docs/TESTING.md, "Live vs simulated
 // parity").
 //
-// Threading: OnVirtualAdvance is called from the live server's workers,
-// but always inside the ticket-ordered section, so this class needs no
-// synchronization (live_server.h).
+// Threading contract:
+//  * OnVirtualAdvance runs on the live server's workers, always inside the
+//    ticket-ordered section, and Finish runs after the server stopped; so
+//    the serving side is one logical thread and its state (the boundary
+//    cursor, the commit log) needs no lock.
+//  * The twin thread owns the ClusterSim, the Controller and the run
+//    report. It shares only the decision slots with the serving side: it
+//    fills slot i, then publishes i + 1 with a release store; the serving
+//    side reads slot i only after an acquire load sees it published, and
+//    blocks on a condition variable only when it does not.
+//  * The twin never touches the caller's ExperimentHarness (its caches
+//    are unsynchronized): calibration is resolved in the constructor, on
+//    the constructing thread.
+//  * An exception thrown on the twin (a failed CHECK) is forwarded: the
+//    boundary waiting for a decision the twin never published, or Finish,
+//    rethrows it on the serving side.
+//  * Finish joins the twin; TwinReport() and history() read its state and
+//    CHECK-fail before Finish. The destructor raises a stop flag the loop
+//    checks at every boundary, so it joins within one boundary's work.
 #pragma once
 
-#include <cstdint>
-#include <memory>
+#include <atomic>
+#include <condition_variable>
+#include <cstddef>
+#include <exception>
+#include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/harness.h"
@@ -59,6 +78,9 @@ class LiveControlPlane : public serving::LiveControlHook {
                    const ExperimentConfig& config);
   ~LiveControlPlane() override;
 
+  LiveControlPlane(const LiveControlPlane&) = delete;
+  LiveControlPlane& operator=(const LiveControlPlane&) = delete;
+
   double arrival_rate_qps() const { return calibration_.arrival_rate_qps; }
   double duration_s() const { return duration_s_; }
   double control_interval_s() const { return config_.control_interval_s; }
@@ -66,19 +88,20 @@ class LiveControlPlane : public serving::LiveControlHook {
 
   // serving::LiveControlHook: fires every boundary strictly below
   // `virtual_ts_s` (the simulator serves an arrival at exactly t before
-  // the controller steps at t, so the boundary at ts itself waits).
+  // the controller steps at t, so the boundary at ts itself waits). The
+  // first call starts the twin.
   void OnVirtualAdvance(double virtual_ts_s,
                         serving::VirtualExecutor* executor) override;
 
-  // Fires any boundaries the traffic never crossed and advances the twin
-  // to the end of the run (the harness's tail AdvanceTo). Call once,
-  // after the live server has stopped.
+  // Fires any boundaries the traffic never crossed and joins the twin once
+  // it has run to the end of the run. Call once, after the live server
+  // has stopped.
   void Finish(serving::VirtualExecutor* executor);
 
-  // The run report of the embedded twin, assembled field-for-field like
-  // ExperimentHarness::Run's — the object the differential test holds
-  // against the real harness with RunReportsBitIdentical.
-  RunReport TwinReport() const;
+  // The run report of the embedded twin — the RunReport of the harness's
+  // own loop, which the differential test holds against the real harness
+  // with RunReportsBitIdentical.
+  const RunReport& TwinReport() const;
 
   struct DeploymentCommit {
     double boundary_s = 0.0;  // control boundary that produced the commit
@@ -88,25 +111,51 @@ class LiveControlPlane : public serving::LiveControlHook {
   const std::vector<DeploymentCommit>& commits() const { return commits_; }
   const std::vector<OptimizationRun>& history() const;
 
+  // Boundaries the twin has decided so far — its lead over the traffic.
+  // Safe from any thread.
+  std::size_t decided_boundaries() const {
+    return published_.load(std::memory_order_acquire);
+  }
+
  private:
+  // One boundary's decision, written by the twin before it is published.
+  struct Decision {
+    double boundary_s = 0.0;
+    std::optional<serving::Deployment> deployment;  // nullopt = unchanged
+  };
+
+  void StartTwin();
+  void RunTwin();
+  bool Publish(double boundary_s, const sim::ClusterSim& sim);
+  void WaitForTwin();
   void FireBoundary(serving::VirtualExecutor* executor);
 
+  // Set on the constructing thread, read-only afterwards.
   ExperimentConfig config_;
   const models::ModelZoo* zoo_;
-  std::optional<carbon::CarbonTrace> repaired_trace_;
-  const carbon::CarbonTrace* trace_ = nullptr;
   BaselineCalibration calibration_;
-  opt::ObjectiveParams params_;
   serving::Deployment initial_;
-  std::unique_ptr<sim::ClusterSim> twin_;
-  std::unique_ptr<Controller> controller_;
-
   double duration_s_ = 0.0;
-  double next_boundary_s_ = 0.0;  // the loop's accumulating t
-  bool finished_ = false;
+  std::vector<double> boundaries_;  // ControlBoundaries(interval, duration)
+
+  // Shared: slot i is the twin's until published_ > i, then read-only.
+  std::vector<Decision> decisions_;
+  std::atomic<std::size_t> published_{0};
+  std::atomic<bool> stop_{false};
+  std::mutex mu_;  // pairs with cv_ for the serving side's wait
+  std::condition_variable cv_;
+  std::exception_ptr error_;  // guarded by mu_; set if the twin throws
+
+  // Twin thread only (read after join).
   serving::Deployment last_deployment_;
+  RunReport report_;
+  std::thread twin_;
+
+  // Serving side only.
+  bool started_ = false;
+  bool finished_ = false;
+  std::size_t fired_ = 0;
   std::vector<DeploymentCommit> commits_;
-  std::vector<OptimizationRun> empty_history_;
 };
 
 }  // namespace clover::core

@@ -35,6 +35,8 @@ struct InstanceSpec {
   int slice_index = 0;  // within the GPU's layout
   mig::SliceType slice = mig::SliceType::k7g;
   int variant_ordinal = 0;
+
+  bool operator==(const InstanceSpec&) const = default;
 };
 
 struct Deployment {
@@ -57,6 +59,12 @@ struct Deployment {
   bool IsFeasible(const models::ModelZoo& zoo) const;
 
   std::string ToString(const models::ModelZoo& zoo) const;
+
+  // Same application and the same instances (Instances() element for
+  // element); how empty slices are laid out does not count.
+  bool operator==(const Deployment& other) const {
+    return app == other.app && Instances() == other.Instances();
+  }
 };
 
 // --- Canonical deployments used by the paper's schemes (Sec. 5.1) ---
