@@ -10,7 +10,7 @@
 //                  [--rate-limit QPS]  finite admission token bucket
 //                  [--burst N]         bucket burst (with --rate-limit)
 //                  [--depth-limit N]   queue-depth shedding threshold
-//                  [--batch N] [--flush-us U]
+//                  [--batch N]         batch size cap
 //                  [--trace-out F]     dump a Chrome trace (Perfetto) of
 //                                      the run; implies observability on
 //                  [--metrics-out F]   dump the metrics snapshot log
@@ -51,7 +51,6 @@ using namespace clover;
       << "  --burst N          token-bucket burst (default 100)\n"
       << "  --depth-limit N    shed above this many in flight (default: off)\n"
       << "  --batch N          batch size cap (default 256)\n"
-      << "  --flush-us U       batch flush deadline, wall us (default 200)\n"
       << "  --trace-out F      write Chrome trace JSON (enables obs)\n"
       << "  --metrics-out F    write metrics snapshot JSON (enables obs)\n";
   std::exit(2);
@@ -128,8 +127,6 @@ int main(int argc, char** argv) {
       options.max_queue_depth = static_cast<std::size_t>(std::stoul(next()));
     } else if (arg == "--batch") {
       options.batch_max_requests = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--flush-us") {
-      options.batch_flush_us = std::stod(next());
     } else if (arg == "--trace-out") {
       trace_out = next();
     } else if (arg == "--metrics-out") {

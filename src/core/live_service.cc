@@ -33,7 +33,6 @@ LiveRunResult RunLiveExperiment(ExperimentHarness* harness,
   serving::LiveServerOptions server_options;
   server_options.worker_threads = options.worker_threads;
   server_options.batch_max_requests = options.batch_max_requests;
-  server_options.batch_flush_us = options.batch_flush_us;
   if (options.bucket.has_value()) {
     server_options.admission.bucket = *options.bucket;
   } else {

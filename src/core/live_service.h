@@ -35,7 +35,6 @@ struct LiveRunOptions {
   // 0 floods as fast as the transport allows.
   double time_scale = 0.0;
   std::size_t batch_max_requests = 256;
-  double batch_flush_us = 200.0;
   // Admission. Unset bucket = effectively unlimited (no rate shedding):
   // differential runs must serve the full schedule. Benches set a finite
   // rate to exercise shedding.

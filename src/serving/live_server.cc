@@ -1,22 +1,12 @@
 #include "serving/live_server.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace clover::serving {
-namespace {
-
-double SteadySeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 LiveServer::LiveServer(const Deployment& initial, const models::ModelZoo& zoo,
                        const LiveServerOptions& options, LiveControlHook* hook)
@@ -62,7 +52,7 @@ void LiveServer::OnFrame(int conn_id, const net::Frame& frame) {
     beacon.ticket = next_ticket_++;
     beacon.beacon_ts_s = virtual_clock_s_;
     batches_.push_back(std::move(beacon));
-    batch_cv_.notify_all();
+    batch_cv_.notify_all();  // up to two batches: the flushed one + beacon
     return;
   }
   if (frame.type != net::FrameType::kRequest) return;
@@ -97,13 +87,12 @@ void LiveServer::OnFrame(int conn_id, const net::Frame& frame) {
   }
 
   inflight_.fetch_add(1, std::memory_order_relaxed);
-  if (current_.items.empty()) current_batch_started_wall_ = SteadySeconds();
   current_.items.push_back(
       {conn_id, request.request_id, request.virtual_ts_s});
   if (current_.items.size() >= options_.batch_max_requests) {
     std::lock_guard<std::mutex> lock(batch_mu_);
     FlushCurrentBatchLocked();
-    batch_cv_.notify_all();
+    batch_cv_.notify_one();
   }
 }
 
@@ -132,8 +121,10 @@ void LiveServer::FlushCurrentBatchLocked() {
 void LiveServer::IngestLoop() {
   for (;;) {
     const bool stopping = stop_flag_.load(std::memory_order_acquire);
-    // A pending partial batch turns the wait into a spin bounded by the
-    // flush deadline (sub-millisecond, below epoll_wait resolution).
+    // A partial batch is pending only while the ticket section is busy;
+    // spin instead of sleeping so it flushes in the first round after the
+    // section drains (a worker's batch takes microseconds, well below
+    // epoll_wait's millisecond resolution).
     const int timeout_ms = current_.items.empty() && !stopping ? 2 : 0;
     {
       CLOVER_TRACE_SCOPE("serving.ingest_poll");
@@ -145,29 +136,21 @@ void LiveServer::IngestLoop() {
     }
     shed_out_.clear();
 
-    if (!current_.items.empty()) {
-      const double age_us =
-          (SteadySeconds() - current_batch_started_wall_) * 1e6;
-      if (stopping || age_us >= options_.batch_flush_us) {
-        std::lock_guard<std::mutex> lock(batch_mu_);
-        FlushCurrentBatchLocked();
-        batch_cv_.notify_all();
-      }
-    }
-
-    if (stopping) {
-      bool drained;
-      {
-        std::lock_guard<std::mutex> lock(batch_mu_);
-        drained = batches_.empty() && next_to_execute_ == next_ticket_;
-      }
-      if (drained && inflight_.load(std::memory_order_relaxed) == 0) {
-        // A couple of extra reactor rounds push out responses workers
-        // queued just before inflight_ reached zero.
-        epoll_->Poll(0);
-        epoll_->Poll(0);
-        return;
-      }
+    // Every flushed ticket has executed (so batches_ is empty too): the
+    // section is idle and the pending batch goes to a worker now.
+    const bool section_idle =
+        next_to_execute_.load(std::memory_order_acquire) == next_ticket_;
+    if (!current_.items.empty() && (stopping || section_idle)) {
+      std::lock_guard<std::mutex> lock(batch_mu_);
+      FlushCurrentBatchLocked();
+      batch_cv_.notify_one();
+    } else if (stopping && section_idle &&
+               inflight_.load(std::memory_order_relaxed) == 0) {
+      // A couple of extra reactor rounds push out responses workers
+      // queued just before inflight_ reached zero.
+      epoll_->Poll(0);
+      epoll_->Poll(0);
+      return;
     }
   }
 }
@@ -198,7 +181,10 @@ void LiveServer::WorkerLoop(std::size_t worker_index) {
     {
       CLOVER_TRACE_SCOPE("serving.ticket_wait");
       std::unique_lock<std::mutex> lock(batch_mu_);
-      ticket_cv_.wait(lock, [&] { return next_to_execute_ == batch.ticket; });
+      ticket_cv_.wait(lock, [&] {
+        return next_to_execute_.load(std::memory_order_relaxed) ==
+               batch.ticket;
+      });
     }
     if (batch.items.empty()) {
       if (hook_ != nullptr && batch.beacon_ts_s > 0.0)
@@ -213,7 +199,7 @@ void LiveServer::WorkerLoop(std::size_t worker_index) {
     }
     {
       std::lock_guard<std::mutex> lock(batch_mu_);
-      ++next_to_execute_;
+      next_to_execute_.fetch_add(1, std::memory_order_release);
       ticket_cv_.notify_all();
     }
 

@@ -1,5 +1,5 @@
-// The live serving front-end: epoll ingest, admission control, deadline-
-// or-size batching, sequenced virtual execution.
+// The live serving front-end: epoll ingest, admission control, work-
+// conserving batching, sequenced virtual execution.
 //
 // Thread architecture (one arrow = one queue handoff):
 //
@@ -21,11 +21,14 @@
 // sequence (docs/TESTING.md discusses the split; the differential test
 // disables it).
 //
-// Batching: admitted requests accumulate into the current batch, flushed
-// when it reaches `batch_max_requests` or its oldest request has waited
-// `batch_flush_us` of wall time — the deadline-or-size rule: full batches
-// amortize handoff cost at high load, the deadline bounds added latency
-// at low load. Each flushed batch takes a monotone ticket.
+// Batching: admitted requests accumulate into the current batch. After
+// each reactor round the ingest thread flushes it if every batch flushed
+// so far has left the ticket-ordered section (the section is idle, so a
+// request goes straight to a worker), and at once whenever it reaches
+// `batch_max_requests`. No timer is involved: while the section is busy,
+// what arrives meanwhile coalesces into one batch (up to the cap) and the
+// handoff is amortized; while it is idle, nothing waits. Each flushed
+// batch takes a monotone ticket.
 //
 // Workers: any thread may pick up any batch, but the virtual-time section
 // — control-boundary firing (LiveControlHook) and VirtualExecutor calls —
@@ -74,7 +77,6 @@ class LiveControlHook {
 struct LiveServerOptions {
   std::size_t worker_threads = 1;
   std::size_t batch_max_requests = 256;
-  double batch_flush_us = 200.0;
   net::AdmissionOptions admission;
   std::size_t max_out_buffer_bytes = 1 << 20;
 };
@@ -147,7 +149,6 @@ class LiveServer {
   net::AdmissionController admission_;
   double virtual_clock_s_ = 0.0;     // high-water mark of request ts
   Batch current_;
-  double current_batch_started_wall_ = 0.0;  // steady-clock seconds
   // Shed responses produced inside the epoll callback, flushed to their
   // sockets right after each Poll round: (conn_id, encoded frames).
   std::vector<std::pair<int, std::vector<std::uint8_t>>> shed_out_;
@@ -157,8 +158,11 @@ class LiveServer {
   std::condition_variable batch_cv_;    // workers wait for batches
   std::condition_variable ticket_cv_;   // workers wait for their turn
   std::deque<Batch> batches_;
-  std::uint64_t next_ticket_ = 0;       // assigned at flush
-  std::uint64_t next_to_execute_ = 0;   // ticket allowed into the executor
+  std::uint64_t next_ticket_ = 0;       // assigned at flush; ingest-owned
+  // Ticket allowed into the executor, i.e. the count of executed tickets.
+  // Written only under batch_mu_ (ticket_cv_ waits on it); atomic so the
+  // ingest thread can test `== next_ticket_` (section idle) lock-free.
+  std::atomic<std::uint64_t> next_to_execute_{0};
   bool stopping_ = false;
 
   // Cross-thread counters.
