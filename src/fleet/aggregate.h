@@ -1,13 +1,11 @@
 // Fleet report aggregation, shared by both fidelity tiers.
 //
-// RunFleet (discrete-event regions) and RunFleetMeanField (fluid regions)
-// produce the same per-region artifacts — a core::RunReport, a run-level
-// latency histogram and a network penalty — and must aggregate them with
-// the identical arithmetic, or the mean-field fast path would drift from
-// the reference tier in exactly the quantities the differential tests
-// compare. This header is that single arithmetic: pure code motion from
-// the original RunFleet, so the discrete-event results are bit-identical
-// to the pre-extraction ones.
+// RunFleet and RunFleetMeanField run one loop (fleet/fleet_sim.cc) whose
+// regions produce the same artifacts on either tier — a core::RunReport, a
+// run-level latency histogram and a network penalty. This header is the
+// arithmetic that folds them into the fleet report; perfbench's traced
+// fleet replays call it too, so their reports match the library's bit for
+// bit.
 #pragma once
 
 #include <functional>

@@ -60,7 +60,7 @@ void FleetController::Step(double t) {
   CLOVER_OBS_COUNT("fleet.steps", 1);
   auto step_region = [&](std::size_t i) {
     Region& region = *(*regions_)[i];
-    if (t > region.sim().now()) region.sim().AdvanceTo(t);
+    if (t > region.now()) region.AdvanceTo(t);
     // Offline regions — and online regions the router currently starves
     // (weight 0) — keep draining but do not optimize: an invocation against
     // a silenced stream measures zero completions for every candidate and

@@ -2,17 +2,19 @@
 // router's rebalance, one step per control interval.
 //
 // Each step has two phases:
-//   1. Region step (parallel). Every region advances its simulator to the
-//      control boundary and, when the fleet runs an adaptive scheme, runs
-//      its own core::Controller invocation. Regions share no mutable state,
-//      so the steps fan out over common/thread_pool; results are folded
-//      back in region-index order.
+//   1. Region step (parallel). Every region advances its simulator (either
+//      fidelity tier, fleet/region.h) to the control boundary and, when the
+//      fleet runs an adaptive scheme, runs its own core::Controller
+//      invocation. Regions share no mutable state, so the steps fan out
+//      over common/thread_pool; results are folded back in region-index
+//      order.
 //   2. Rebalance (serial). Snapshots are collected in region order, the
 //      router computes the new split, and the per-region arrival rates are
 //      applied — all on the calling thread.
 // Because phase 2 is a serial fold over state that each region computed
 // independently, fleet runs are bit-identical across thread counts
-// (asserted by tests/fleet_test.cc at 1/2/8 threads).
+// (asserted at 1/2/8 threads by tests/fleet_test.cc for discrete-event
+// regions and tests/meanfield_test.cc for fluid ones).
 //
 // Sharing one evaluation-cache store across regions (share_eval_cache)
 // couples the region steps through the cache, so the controller then runs
@@ -22,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -63,6 +66,11 @@ class FleetController {
   // One entry per rebalance (index 0 = the t=0 initial split).
   const std::vector<std::vector<double>>& weight_history() const {
     return weight_history_;
+  }
+  // Moves the history out (a report takes it once the run is over; at
+  // planet scale it is ~0.5 MB, too large to copy). Leaves it empty.
+  std::vector<std::vector<double>> TakeWeightHistory() {
+    return std::move(weight_history_);
   }
 
   // Per-region controller snapshots; entries are nullopt for schemes that

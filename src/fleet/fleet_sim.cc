@@ -9,30 +9,11 @@
 #include "common/quantile.h"
 #include "common/units.h"
 #include "fleet/aggregate.h"
+#include "fleet/meanfield_fleet.h"
 #include "perf/calibration.h"
 #include "sim/arrivals.h"
 
 namespace clover::fleet {
-namespace {
-
-// Fills the cluster-local RunReport for one region: the same tail the
-// single-cluster harness assembles (one shared code path, so the two can
-// never drift), minus the optimization bookkeeping the fleet controller
-// owns.
-core::RunReport RegionRunReport(const FleetConfig& config,
-                                const Region& region,
-                                const opt::ObjectiveParams& params,
-                                double baseline_energy_per_request_j) {
-  core::RunReport report;
-  report.app = config.app;
-  report.scheme = config.scheme;
-  report.params = params;
-  core::FillRunReportFromSim(region.sim(), params,
-                             baseline_energy_per_request_j, &report);
-  return report;
-}
-
-}  // namespace
 
 std::vector<RegionConfig> RegionsFromPresets(
     const std::vector<std::string>& names, int gpus_per_region) {
@@ -53,7 +34,13 @@ std::vector<RegionConfig> RegionsFromPresets(
   return regions;
 }
 
-FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
+namespace {
+
+// The fleet run for either fidelity tier: only Region knows which simulator
+// it owns, so calibration, sizing, routing, the control loop and the report
+// assembly are one code path.
+FleetReport RunFleetWith(const FleetConfig& config,
+                         const models::ModelZoo& zoo, Fidelity fidelity) {
   CLOVER_CHECK_MSG(!config.regions.empty(), "fleet needs >= 1 region");
   CLOVER_CHECK(config.duration_hours > 0.0);
   CLOVER_CHECK(config.control_interval_s > 0.0);
@@ -110,7 +97,8 @@ FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
                                       region_config.faults.trace_dropouts);
     regions.push_back(std::make_unique<Region>(
         region_config, &zoo, std::move(trace),
-        serving::MakeBase(config.app, region_config.num_gpus), sim_options));
+        serving::MakeBase(config.app, region_config.num_gpus), sim_options,
+        fidelity));
   }
 
   std::unique_ptr<Router> router = MakeRouter(config.router);
@@ -135,14 +123,14 @@ FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
        t += config.control_interval_s)
     fleet_controller.Step(std::min(t, duration_s));
   for (auto& region : regions)
-    if (duration_s > region->sim().now()) region->sim().AdvanceTo(duration_s);
+    if (duration_s > region->now()) region->AdvanceTo(duration_s);
 
   // ---- Reports ----
   FleetReport fleet_report;
   fleet_report.router_name = router->name();
   fleet_report.total_qps = total_qps;
   fleet_report.slo_budget_ms = controller_options.router.slo_budget_ms;
-  fleet_report.weight_history = fleet_controller.weight_history();
+  fleet_report.weight_history = fleet_controller.TakeWeightHistory();
 
   const auto controller_snapshots = fleet_controller.ControllerSnapshots();
   std::vector<double> mean_weights(regions.size(), 0.0);
@@ -157,24 +145,28 @@ FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
     region_report.name = regions[i]->name();
     region_report.latency_penalty_ms = regions[i]->latency_penalty_ms();
     region_report.mean_weight = mean_weights[i];
-    region_report.report = RegionRunReport(
-        config, *regions[i], params, calibration.energy_per_request_j);
-    region_report.report.arrival_rate_qps = mean_weights[i] * total_qps;
+    // Cluster-local report: the single-cluster harness's own fill (one
+    // shared code path, so the two can never drift), plus the context.
+    core::RunReport& report = region_report.report;
+    report.app = config.app;
+    report.scheme = config.scheme;
+    report.params = params;
+    regions[i]->FillRunReport(params, calibration.energy_per_request_j,
+                              &report);
+    report.arrival_rate_qps = mean_weights[i] * total_qps;
     if (const core::Controller* controller = fleet_controller.controller(i)) {
-      region_report.report.optimizations = controller->history();
-      region_report.report.optimization_seconds =
-          controller->total_optimization_seconds();
+      report.optimizations = controller->history();
+      report.optimization_seconds = controller->total_optimization_seconds();
       // Store-scoped: with share_eval_cache this is the fleet-wide count
       // (every region reads the one shared store), same as the snapshot.
-      region_report.report.cache_hits = controller->cache_hits();
+      report.cache_hits = controller->cache_hits();
     }
     region_report.controller = controller_snapshots[i];
     fleet_report.regions.push_back(std::move(region_report));
   }
 
   // Fleet aggregate: sums over regions; latency from the merged per-region
-  // distributions, each shifted by its network penalty. The arithmetic
-  // lives in fleet/aggregate.h so the mean-field fast path reuses it.
+  // distributions, each shifted by its network penalty (fleet/aggregate.h).
   core::RunReport& fleet = fleet_report.fleet;
   fleet.app = config.app;
   fleet.scheme = config.scheme;
@@ -185,7 +177,7 @@ FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
   for (std::size_t i = 0; i < regions.size(); ++i) {
     RegionAggregateView view;
     view.report = &fleet_report.regions[i].report;
-    view.latency_histogram = &regions[i]->sim().latency_histogram();
+    view.latency_histogram = &regions[i]->latency_histogram();
     view.base_penalty_ms = regions[i]->latency_penalty_ms();
     view.penalty_at = [region = regions[i].get()](double start_s) {
       return region->LatencyPenaltyAt(start_s);
@@ -203,6 +195,24 @@ FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
                                     wall_start)
           .count();
   return fleet_report;
+}
+
+}  // namespace
+
+FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
+  return RunFleetWith(config, zoo, Fidelity::kDiscreteEvent);
+}
+
+FleetReport RunFleetMeanField(const FleetConfig& config,
+                              const models::ModelZoo& zoo) {
+  CLOVER_CHECK_MSG(config.scheme == core::Scheme::kBase,
+                   "mean-field fleet runs static schemes only (adaptive "
+                   "schemes need the per-region controller, whose "
+                   "evaluations are discrete-event runs)");
+  for (const RegionConfig& region : config.regions)
+    CLOVER_CHECK_MSG(region.faults.Empty(),
+                     "mean-field fleet does not model region faults");
+  return RunFleetWith(config, zoo, Fidelity::kMeanField);
 }
 
 bool FleetReportsBitIdentical(const FleetReport& a, const FleetReport& b) {

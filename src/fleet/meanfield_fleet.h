@@ -1,12 +1,13 @@
 // Mean-field fast path for fleet campaigns.
 //
-// RunFleetMeanField is RunFleet with the discrete-event region simulators
-// replaced by the fluid tier (sim/meanfield.h): same calibration, same
-// traces (seeded identically), same router rebalanced on the same control
-// boundaries, and the identical report aggregation (fleet/aggregate.h).
-// What changes is the cost per region per window — a handful of arithmetic
-// operations instead of thousands of heap events — which is what lets a
-// 1000-region campaign cell finish in minutes instead of hours.
+// RunFleetMeanField is RunFleet over fluid regions: the same loop
+// (fleet/fleet_sim.cc) builds every Region on the fluid tier
+// (sim/meanfield.h) instead of the discrete-event one, so calibration,
+// traces, routing, control boundaries and report aggregation are shared
+// code, not copies. What changes is the cost per region per window — a
+// handful of arithmetic operations instead of thousands of heap events —
+// which is what lets a 1000-region campaign cell finish in minutes instead
+// of hours.
 //
 // Scope: the fluid tier runs static schemes only (core::Scheme::kBase; an
 // adaptive scheme needs the per-region controller, whose evaluations are

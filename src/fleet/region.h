@@ -1,23 +1,30 @@
 // One regional cluster of the geo-distributed fleet.
 //
 // A Region bundles what the paper's single-cluster pipeline keeps global:
-// a discrete-event cluster simulator, the region's own carbon-intensity
-// trace, its fleet size, and the network latency penalty from the global
-// ingress. The fleet controller steps regions independently (they share no
-// mutable state), and the router decides how much of the global stream each
-// region is offered.
+// a cluster simulator, the region's own carbon-intensity trace, its fleet
+// size, and the network latency penalty from the global ingress. The
+// simulator is either tier — a discrete-event sim::ClusterSim (RunFleet) or
+// a fluid sim::MeanFieldSim (RunFleetMeanField) — fixed at construction;
+// everything above the region (fleet controller, router, report assembly)
+// is one code path for both. The fleet controller steps regions
+// independently (they share no mutable state), and the router decides how
+// much of the global stream each region is offered.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <variant>
 
 #include "carbon/trace.h"
 #include "carbon/trace_generator.h"
+#include "common/quantile.h"
+#include "core/harness.h"
 #include "fleet/router.h"
 #include "models/zoo.h"
 #include "serving/deployment.h"
 #include "sim/cluster_sim.h"
+#include "sim/meanfield.h"
 
 namespace clover::fleet {
 
@@ -46,21 +53,25 @@ struct RegionConfig {
 // run stays reproducible from one number.
 std::uint64_t RegionSeed(std::uint64_t fleet_seed, std::size_t region_index);
 
+// Which simulator a region runs.
+enum class Fidelity { kDiscreteEvent, kMeanField };
+
 // Owns the trace and the simulator (the simulator keeps a pointer into the
 // trace), so regions are pinned to the heap — no copy, no move.
 class Region {
  public:
   Region(const RegionConfig& config, const models::ModelZoo* zoo,
          carbon::CarbonTrace trace, serving::Deployment initial,
-         const sim::SimOptions& sim_options);
+         const sim::SimOptions& sim_options,
+         Fidelity fidelity = Fidelity::kDiscreteEvent);
   Region(const Region&) = delete;
   Region& operator=(const Region&) = delete;
 
   const std::string& name() const { return config_.preset.name; }
   const RegionConfig& config() const { return config_; }
   const carbon::CarbonTrace& trace() const { return trace_; }
-  sim::ClusterSim& sim() { return *sim_; }
-  const sim::ClusterSim& sim() const { return *sim_; }
+  // The discrete-event simulator; CheckError on a mean-field region.
+  sim::ClusterSim& sim();
   int num_gpus() const { return config_.num_gpus; }
   double latency_penalty_ms() const { return config_.latency_penalty_ms; }
   // Base penalty plus any RTT spike active at `t`.
@@ -71,12 +82,18 @@ class Region {
            t >= config_.outage_end_s;
   }
 
+  // Simulator calls common to both tiers.
+  double now() const;
+  void AdvanceTo(double t);
+  const LogHistogramQuantile& latency_histogram() const;
+  // core::FillRunReportFromSim for whichever simulator the region runs.
+  void FillRunReport(const opt::ObjectiveParams& params,
+                     double fallback_energy_per_request_j,
+                     core::RunReport* report) const;
+
   double assigned_qps() const { return assigned_qps_; }
   // Offers `qps` of the global stream to this region from sim-now onward.
   void SetAssignedRate(double qps);
-
-  // Nominal capacity of the currently deployed configuration.
-  double CapacityQps() const;
 
   // Router-visible state at control time `t`.
   RegionSnapshot Snapshot(double t) const;
@@ -85,7 +102,9 @@ class Region {
   RegionConfig config_;
   const models::ModelZoo* zoo_;
   carbon::CarbonTrace trace_;
-  std::unique_ptr<sim::ClusterSim> sim_;
+  std::variant<std::unique_ptr<sim::ClusterSim>,
+               std::unique_ptr<sim::MeanFieldSim>>
+      sim_;
   double assigned_qps_ = 0.0;
 };
 

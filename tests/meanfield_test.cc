@@ -337,7 +337,9 @@ TEST(MeanFieldFleetTest, TracksDiscreteEventFleet) {
 }
 
 // Determinism: the fluid tier is pure arithmetic — two runs of the same
-// fleet config must be bit-identical (the campaign resume/dedup contract).
+// fleet config must be bit-identical (the campaign resume/dedup contract),
+// and so must runs at any region fan-out width, since fluid regions step
+// through FleetController's pool like discrete-event ones.
 TEST(MeanFieldFleetTest, RunsAreBitIdentical) {
   fleet::FleetConfig config;
   config.app = models::Application::kClassification;
@@ -347,9 +349,29 @@ TEST(MeanFieldFleetTest, RunsAreBitIdentical) {
   config.router = fleet::RouterPolicy::kCarbonGreedy;
   config.seed = 11;
   const models::ModelZoo& zoo = models::DefaultZoo();
-  const fleet::FleetReport a = fleet::RunFleetMeanField(config, zoo);
-  const fleet::FleetReport b = fleet::RunFleetMeanField(config, zoo);
-  EXPECT_TRUE(fleet::FleetReportsBitIdentical(a, b));
+  const fleet::FleetReport reference = fleet::RunFleetMeanField(config, zoo);
+  for (const int threads : {1, 2, 8}) {
+    config.threads = threads;
+    EXPECT_TRUE(fleet::FleetReportsBitIdentical(
+        fleet::RunFleetMeanField(config, zoo), reference))
+        << "threads=" << threads;
+  }
+}
+
+// The fluid tier's two scope guards: an adaptive scheme and a region fault
+// schedule are rejected before any region is built.
+TEST(MeanFieldFleetTest, RejectsAdaptiveSchemesAndRegionFaults) {
+  fleet::FleetConfig config;
+  config.regions = fleet::RegionsFromPresets({"us-west", "eu-west"}, 2);
+  config.duration_hours = 1.0;
+  config.scheme = core::Scheme::kClover;
+  const models::ModelZoo& zoo = models::DefaultZoo();
+  EXPECT_THROW(fleet::RunFleetMeanField(config, zoo), CheckError);
+
+  config.scheme = core::Scheme::kBase;
+  config.regions[1].faults.rtt_spikes.push_back(
+      {/*start_s=*/600.0, /*end_s=*/1200.0, /*added_ms=*/40.0});
+  EXPECT_THROW(fleet::RunFleetMeanField(config, zoo), CheckError);
 }
 
 }  // namespace
