@@ -1,11 +1,10 @@
 // Lock-free, sharded latency/accuracy accumulator for the live serving
 // completion path.
 //
-// The threaded runtime (serving/runtime.cc) records completions under a
-// mutex; at simulated rates that is invisible, but the live server's
-// workers complete hundreds of thousands of requests per second and the
-// completion path is exactly where a shared lock hurts most — every
-// worker takes it once per request. This store removes the lock entirely:
+// The live server's workers complete hundreds of thousands of requests
+// per second, and the completion path is exactly where a shared lock would
+// hurt most — every worker would take it once per request. This store has
+// no lock at all:
 //
 //   * One shard per worker. Each worker writes only its own shard
 //     (single-writer), so a Record is three relaxed fetch_adds on memory
@@ -26,11 +25,11 @@
 //     differ run to run at the ulp level.
 //
 // Reads fold shards on demand and are const — queries never mutate
-// accumulator state (the contract serving/runtime.h's mutex-guarded
-// ExactQuantile could not honour; see SnapshotStats there). A fold that
-// races live writers sees each counter at some valid point (every field
-// is a word-sized atomic, so torn values are impossible — ASan/TSan-
-// checked in tests), but the set of counters is not one instant's
+// accumulator state (unlike ExactQuantile, whose nearest-rank query
+// reorders its samples in place). A fold that races live writers sees
+// each counter at some valid point (every field is a word-sized atomic,
+// so torn values are impossible — ASan/TSan-checked in tests), but the
+// set of counters is not one instant's
 // snapshot; counts may disagree across shards by in-flight requests.
 // Exact folds are obtained the way the live server does it: quiesce or
 // join the writers first.

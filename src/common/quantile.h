@@ -10,11 +10,12 @@
 //
 // Allocation behaviour (the simulator calls Add once per completion, so
 // this is a hot path): LogHistogramQuantile never allocates after
-// construction. ExactQuantile grows its sample vector; Reserve() amortizes
-// that for callers that know their request volume (serving/runtime.cc).
+// construction. ExactQuantile grows its sample vector.
 //
 // Thread-safety: neither estimator synchronizes; each accumulator is owned
-// by exactly one simulator or runtime and protected by its owner.
+// by exactly one simulator (or test) and read only by its owner. The live
+// server's concurrent completion path uses ShardedLatencyStore
+// (common/latency_store.h) instead.
 // ExactQuantile::Quantile reorders its sample buffer in place
 // (nth_element), so it is deliberately non-const — a shared estimator must
 // not be queried concurrently, and the signature says so. The sharded-sim
@@ -34,9 +35,6 @@ class ExactQuantile {
  public:
   void Add(double x) { samples_.push_back(x); }
   std::size_t count() const { return samples_.size(); }
-
-  // Pre-sizes the sample vector (Add never reallocates until `capacity`).
-  void Reserve(std::size_t capacity) { samples_.reserve(capacity); }
 
   // Quantile q in [0,1] using the nearest-rank method (ceil(q*n)-th order
   // statistic), the same definition LogHistogramQuantile uses. Returns 0 when

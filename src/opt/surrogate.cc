@@ -67,8 +67,8 @@ EvalOutcome SurrogateEvaluator::Evaluate(const graph::ConfigGraph& graph) {
   }
   CLOVER_CHECK(!servers.empty());
 
-  // Saturation cascade under accuracy-greedy dispatch, exactly as
-  // AnalyticEvaluator: high-accuracy instances fill first.
+  // Saturation cascade under accuracy-greedy dispatch: high-accuracy
+  // instances fill first.
   std::sort(servers.begin(), servers.end(),
             [](const Server& a, const Server& b) {
               if (a.accuracy != b.accuracy) return a.accuracy > b.accuracy;
@@ -84,8 +84,8 @@ EvalOutcome SurrogateEvaluator::Evaluate(const graph::ConfigGraph& graph) {
 
   EvalOutcome outcome;
   if (remaining > 1e-9 || lambda >= total_rate) {
-    // Overloaded: unbounded queue. Same sentinel as AnalyticEvaluator, so
-    // infeasible candidates rank last in any screen.
+    // Overloaded: unbounded queue. The sentinel ranks infeasible
+    // candidates last in any screen.
     outcome.metrics.accuracy = 0.0;
     outcome.metrics.p95_ms = 1e6;
     outcome.metrics.energy_per_request_j = 1e9;

@@ -8,10 +8,11 @@
 // the surrogate ranks a screen_factor-times larger candidate pool, and only
 // the top slice pays for a simulation.
 //
-// The recipe shares AnalyticEvaluator's saturation-cascade model for
-// accuracy and energy (accuracy-greedy dispatch: high-accuracy instances
-// saturate first), but replaces its ad-hoc congestion factor with the
-// M/M/c oracles of sim/analytic.h for the latency tail:
+// Accuracy and energy come from a saturation cascade under the serving
+// path's accuracy-greedy dispatch: high-accuracy instances saturate first
+// and the remainder spills to lower-accuracy ones; energy is static power
+// plus busy-time dynamic power. The latency tail comes from the M/M/c
+// oracles of sim/analytic.h:
 //
 //   * The fleet is collapsed to an equivalent M/M/c: c = instance count,
 //     mu_eff = total service rate / c. For a uniform fleet under
@@ -28,11 +29,11 @@
 //
 // Heterogeneous fleets make the collapse an approximation; the surrogate is
 // a *ranking* tier, and misranked borderline candidates merely cost one
-// extra simulation. Overload (offered rate above total capacity) returns
-// the same sentinel outcome as AnalyticEvaluator so screened-out candidates
-// sort last. Evaluate is pure (a function of the graph alone), so the
-// surrogate composes with every batch strategy and never perturbs
-// determinism contracts.
+// extra simulation. Overload (offered rate at or above total capacity)
+// returns a sentinel outcome (accuracy 0, p95 1e6 ms, energy 1e9 J) so
+// screened-out candidates sort last. Evaluate is pure (a function of the
+// graph alone), so the surrogate composes with every batch strategy and
+// never perturbs determinism contracts.
 #pragma once
 
 #include "graph/config_graph.h"

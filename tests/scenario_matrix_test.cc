@@ -1,5 +1,5 @@
 // Scenario-matrix integration tests: the full pipeline (carbon trace ->
-// controller/optimizer -> cluster simulator -> serving runtime) driven
+// controller/optimizer -> cluster simulator -> live server) driven
 // across diverse end-to-end configurations, each asserting the system's
 // cross-cutting invariants — carbon savings never negative vs BASE, SLO
 // attainment, accuracy envelopes, and bit-identical determinism under a
@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "serving/runtime.h"
+#include "core/live_service.h"
 #include "testing/golden.h"
 #include "testing/scenario.h"
 #include "testing/trace_fixtures.h"
@@ -131,41 +131,39 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
-// The serving-runtime leg: the deployment the optimizer converged to is
-// realized on the threaded InferenceRuntime (real producer/dispatcher/
-// worker threads), closing the trace -> optimizer -> simulator -> runtime
-// pipeline end to end.
-TEST(ScenarioServingRuntime, OptimizedDeploymentServesOnRealThreads) {
+// The live serving leg: the same CLOVER scenario served over loopback by
+// LiveServer (epoll ingest, batching, VirtualExecutor dispatch) while its
+// twin control plane commits the optimizer's deployments, closing the
+// trace -> optimizer -> simulator -> live server pipeline end to end. The
+// twin must make the harness's decisions bit for bit, and every scheduled
+// request must be answered.
+TEST(ScenarioLiveServing, CloverDeploymentsServeOnTheLiveServer) {
   core::ExperimentHarness harness(&models::DefaultZoo());
   Scenario scenario;
-  scenario.name = "runtime_leg";
+  scenario.name = "live_leg";
   scenario.app = Application::kClassification;
   scenario.trace = TraceKind::kCisoMarch;
   scenario.duration_hours = 3.0;
   const carbon::CarbonTrace trace = MakeScenarioTrace(scenario);
-  const core::RunReport report =
-      harness.Run(MakeConfig(scenario, core::Scheme::kClover, &trace));
+  const core::ExperimentConfig config =
+      MakeConfig(scenario, core::Scheme::kClover, &trace);
+  const core::RunReport report = harness.Run(config);
   ASSERT_GT(report.optimizations.size(), 0u);
 
-  const serving::Deployment deployment = FinalCloverDeployment(
-      report, models::DefaultZoo(), scenario.num_gpus);
-  serving::InferenceRuntime runtime(deployment, models::DefaultZoo());
-  runtime.Start();
-  constexpr int kRequests = 2000;
-  int accepted = 0;
-  for (int i = 0; i < kRequests; ++i) accepted += runtime.Submit() ? 1 : 0;
-  runtime.Drain();
-  const serving::InferenceRuntime::Stats stats = runtime.SnapshotStats();
+  const core::LiveRunResult live = core::RunLiveExperiment(
+      &harness, &models::DefaultZoo(), config, core::LiveRunOptions());
 
-  EXPECT_EQ(accepted, kRequests);
-  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
+  EXPECT_TRUE(live.replay.all_acked);
+  EXPECT_EQ(live.replay.ok, live.replay.sent);
+  EXPECT_EQ(live.replay.sent, report.arrivals);
+  EXPECT_TRUE(core::RunReportsBitIdentical(live.twin_report, report));
   const models::ModelFamily& family =
       models::DefaultZoo().ForApplication(scenario.app);
   EXPECT_TRUE(InGoldenRange(
-      "runtime_weighted_accuracy", stats.weighted_accuracy,
+      "live_mean_accuracy", live.stats.mean_accuracy,
       {family.Smallest().accuracy, family.Largest().accuracy}));
-  EXPECT_GT(stats.p95_latency_ms, 0.0);
-  EXPECT_GE(stats.p95_latency_ms, stats.mean_latency_ms);
+  EXPECT_GT(live.stats.p50_virtual_ms, 0.0);
+  EXPECT_LE(live.stats.p50_virtual_ms, live.stats.p99_virtual_ms);
 }
 
 // --- Fleet scenarios: the multi-region routing layer over the same

@@ -155,6 +155,44 @@ TEST(SurrogateEvaluatorTest, OverloadedConfigurationGetsTheSentinel) {
   EXPECT_EQ(outcome.metrics.accuracy, 0.0);
 }
 
+TEST(SurrogateEvaluatorTest, AccuracyAndEnergyMatchSimulatorToFirstOrder) {
+  // The saturation cascade against a BASE deployment measured on the live
+  // (jittered) simulator at 75% utilization, after a warm-up.
+  const models::ModelZoo& zoo = models::DefaultZoo();
+  constexpr int kGpus = 4;
+  const serving::Deployment base =
+      serving::MakeBase(Application::kClassification, kGpus);
+  const double rate =
+      sim::SizeArrivalRate(zoo, Application::kClassification, kGpus, 0.75);
+  const carbon::CarbonTrace trace("flat", 3600.0,
+                                  std::vector<double>(200, 200.0));
+  sim::SimOptions sim_options;
+  sim_options.arrival_rate_qps = rate;
+  sim_options.window_seconds = 300.0;
+  sim_options.seed = 17;
+  sim::ClusterSim cluster(base, zoo, &trace, sim_options);
+  graph::GraphMapper mapper(&zoo, kGpus);
+  SimEvaluator::Options sim_eval;
+  sim_eval.measure_window_s = 120.0;
+  sim_eval.l_tail_ms = 200.0;
+  SimEvaluator simulated(&cluster, &mapper, sim_eval);
+
+  SurrogateEvaluator::Options options;
+  options.arrival_rate_qps = rate;
+  options.l_tail_ms = 200.0;
+  SurrogateEvaluator surrogate(&zoo, kGpus, options);
+
+  const graph::ConfigGraph g = graph::ConfigGraph::FromDeployment(base, zoo);
+  cluster.AdvanceTo(300.0);  // warm up
+  const EvalOutcome sim_outcome = simulated.Evaluate(g);
+  const EvalOutcome surrogate_outcome = surrogate.Evaluate(g);
+  EXPECT_NEAR(surrogate_outcome.metrics.accuracy,
+              sim_outcome.metrics.accuracy, 0.5);
+  EXPECT_NEAR(surrogate_outcome.metrics.energy_per_request_j,
+              sim_outcome.metrics.energy_per_request_j,
+              0.3 * sim_outcome.metrics.energy_per_request_j);
+}
+
 // --------------------------------------------------------------------------
 // Screening contract.
 // --------------------------------------------------------------------------
